@@ -82,6 +82,19 @@ cmp /tmp/table2.out tests/golden/table2.out \
 cmp results/table2.json tests/golden/table2.json \
   || { echo "results/table2.json drifted from tests/golden/table2.json"; exit 1; }
 
+echo "==> simbench self-tests + one-second run of each workload"
+# Every simbench run bit-compares each run's statistics against the
+# goldens (fig12, fig16) or simbench/data/ctrl_stream.json and exits
+# non-zero on any difference. The ctrl_stream check covers what no
+# golden cmp above does: bare-controller streams, so a changed
+# scheduling decision fails here even when no figure moves.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+for workload in fig12_q fig12_qs fig16_hybrid ctrl_stream; do
+  cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 0 > "/tmp/simbench.$workload.out" \
+    || { echo "simbench $workload failed:"; tail -5 "/tmp/simbench.$workload.out"; exit 1; }
+done
+
 echo "==> sharded sweep merge gate (fig12 split 2 ways -> byte-identity)"
 # The shard oracle: the same golden-scale fig12 run split across two
 # shards at *different* worker counts (standing in for different

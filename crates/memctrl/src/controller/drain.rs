@@ -4,38 +4,36 @@
 use super::*;
 
 impl Controller {
-    /// Picks the FR-FCFS winner within `queue` by projecting each request
-    /// down to its policy-visible [`sched::SchedView`] (arrival, location,
-    /// required mode — never provenance) and delegating to [`sched::select`].
-    /// The closures hand the policy read-only access to the device's bank
-    /// timing state and per-rank I/O mode.
-    fn select(&mut self, write_queue: bool, now: Cycle) -> Option<(usize, bool)> {
+    /// Picks the FR-FCFS winner within one queue, returning its queue
+    /// index and whether the starvation cap forced it. The policy sees
+    /// requests only as [`sched::SchedView`]s (arrival, location,
+    /// required mode — never provenance): through the queue's
+    /// incrementally kept [`sched::GroupIndex`], or through the
+    /// whole-queue [`sched::select_reference`] scan when
+    /// [`ControllerConfig::reference_scheduler`] is set. The closures hand
+    /// the policy read-only access to the device's bank timing state and
+    /// per-rank I/O mode.
+    fn select(&self, write_queue: bool, now: Cycle) -> Option<(usize, bool)> {
         let _p = phase("sched-select");
-        // Disjoint field borrows: the policy reads `device` through the
-        // closures while the tournament mutates only its own workspace.
         let queue = if write_queue {
             &self.writeq
         } else {
             &self.readq
         };
         let device = &self.device;
-        let views = queue.iter().map(|p| sched::SchedView {
-            arrival: p.arrival,
-            loc: p.loc,
-            mode: p.req.required_mode(),
-        });
         let est = |loc: Location, base: Cycle| {
             device.earliest_column_for_row(loc.rank, loc.bank_group, loc.bank, loc.row, base)
         };
         let mode = |rank: usize| device.io_mode(rank);
         let cap = self.cfg.starvation_cap;
         let trtr = self.cfg.device.timing.rtr;
-        let d = if self.cfg.reference_scheduler {
-            sched::select_reference(views, now, cap, trtr, est, mode)
+        if self.cfg.reference_scheduler {
+            let views = queue.iter().map(Pending::view);
+            let d = sched::select_reference(views, now, cap, trtr, est, mode)?;
+            Some((d.index, d.starved))
         } else {
-            sched::select(views, now, cap, trtr, est, mode, &mut self.scratch)
-        }?;
-        Some((d.index, d.starved))
+            queue.select(now, cap, trtr, est, mode)
+        }
     }
 
     /// Executes the full command sequence for `p`, returning its completion.
@@ -222,9 +220,9 @@ impl Controller {
             (false, self.select(false, now)?)
         };
         let pending = if queue_is_write {
-            self.writeq.remove(idx).expect("index from select")
+            self.writeq.remove(idx)
         } else {
-            self.readq.remove(idx).expect("index from select")
+            self.readq.remove(idx)
         };
         if starved {
             self.stats.starvation_forced += 1;

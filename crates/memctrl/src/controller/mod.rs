@@ -18,8 +18,6 @@
 //! high and low watermarks, as in real controllers; reads otherwise have
 //! priority. Refresh is issued per rank every tREFI.
 
-use std::collections::VecDeque;
-
 use sam_dram::command::Command;
 use sam_dram::device::{DeviceConfig, DeviceStats, MemoryDevice};
 use sam_dram::Cycle;
@@ -28,6 +26,7 @@ use crate::mapping::{AddressMapper, Location};
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 use crate::sched;
 use crate::wake::TimeWheel;
+use queues::Queue;
 use sam_obs::profile::phase;
 use sam_obs::registry as obs;
 use sam_trace::event::track;
@@ -55,9 +54,9 @@ pub struct ControllerConfig {
     /// stream of younger row hits from starving an older row miss.
     pub starvation_cap: Cycle,
     /// Use the naive whole-queue scan ([`sched::select_reference`])
-    /// instead of the group tournament for every scheduling decision.
-    /// A differential-testing knob, not a policy change: the two
-    /// implementations are exact equivalents, and the `sam-stress`
+    /// instead of the incremental group index for every scheduling
+    /// decision. A differential-testing knob, not a policy change: the
+    /// two implementations are exact equivalents, and the `sam-stress`
     /// matrix replays streams through both to prove it.
     pub reference_scheduler: bool,
 }
@@ -252,6 +251,21 @@ struct Pending {
     req: MemRequest,
     loc: Location,
     arrival: Cycle,
+    /// Per-controller enqueue sequence number: increases with every
+    /// enqueue, so queue order is seq order.
+    seq: u64,
+}
+
+impl Pending {
+    /// The policy-visible projection (arrival, location, required mode —
+    /// never provenance).
+    fn view(&self) -> sched::SchedView {
+        sched::SchedView {
+            arrival: self.arrival,
+            loc: self.loc,
+            mode: self.req.required_mode(),
+        }
+    }
 }
 
 /// What a stored controller wake entry is for (DESIGN.md §13).
@@ -286,8 +300,10 @@ pub struct Controller {
     cfg: ControllerConfig,
     device: MemoryDevice,
     mapper: AddressMapper,
-    readq: VecDeque<Pending>,
-    writeq: VecDeque<Pending>,
+    readq: Queue,
+    writeq: Queue,
+    /// Sequence number the next enqueued request gets.
+    next_seq: u64,
     draining_writes: bool,
     next_refresh: Vec<Cycle>,
     clock: Cycle,
@@ -298,9 +314,6 @@ pub struct Controller {
     write_latency_hist: Histogram,
     trace: SinkSlot,
     epochs: Option<SharedEpochs>,
-    /// Reusable group-tournament workspace for [`sched::select`]; pure
-    /// scratch, never part of the controller's semantic state.
-    scratch: sched::SelectScratch,
     /// Stored wake entries (rank refresh deadlines; see [`WakeSource`]).
     wheel: TimeWheel<WakeSource>,
 }
@@ -332,8 +345,9 @@ impl Controller {
             cfg,
             device,
             mapper,
-            readq: VecDeque::new(),
-            writeq: VecDeque::new(),
+            readq: Queue::default(),
+            writeq: Queue::default(),
+            next_seq: 0,
             draining_writes: false,
             next_refresh,
             clock: 0,
@@ -344,7 +358,6 @@ impl Controller {
             write_latency_hist: Histogram::new(),
             trace: SinkSlot::default(),
             epochs: None,
-            scratch: sched::SelectScratch::default(),
             wheel,
         }
     }
@@ -994,7 +1007,7 @@ mod tests {
         assert_eq!(c.stats().refreshes, 0);
     }
 
-    /// The reference scan and the tournament must be indistinguishable
+    /// The reference scan and the group index must be indistinguishable
     /// end-to-end, not just per decision: same completions, stats, and
     /// lanes over a mixed read/write/stride workload.
     #[test]
@@ -1029,10 +1042,10 @@ mod tests {
             let done = c.drain(0);
             (done, *c.stats(), c.per_core().clone())
         };
-        let (done_t, stats_t, lanes_t) = run(false);
+        let (done_i, stats_i, lanes_i) = run(false);
         let (done_r, stats_r, lanes_r) = run(true);
-        assert_eq!(done_t, done_r);
-        assert_eq!(stats_t, stats_r);
-        assert_eq!(lanes_t, lanes_r);
+        assert_eq!(done_i, done_r);
+        assert_eq!(stats_i, stats_r);
+        assert_eq!(lanes_i, lanes_r);
     }
 }

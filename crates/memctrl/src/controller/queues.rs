@@ -1,7 +1,66 @@
-//! Request admission: queue occupancy accessors, backpressure, and
-//! `enqueue` (the controller's ingress edge).
+//! Request admission: the request queues, occupancy accessors,
+//! backpressure, and `enqueue` (the controller's ingress edge).
+
+use std::collections::VecDeque;
+
+use sam_dram::moderegs::IoMode;
 
 use super::*;
+
+/// One request queue, in enqueue order, with its FR-FCFS group index
+/// ([`sched::GroupIndex`]) kept in step on every push and removal.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Queue {
+    pending: VecDeque<Pending>,
+    groups: sched::GroupIndex,
+}
+
+impl Queue {
+    pub(super) fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Pending> + '_ {
+        self.pending.iter()
+    }
+
+    /// The FR-FCFS winner by [`sched::GroupIndex::select`]: its queue
+    /// index, found by binary search on `seq` because queue order is seq
+    /// order, and whether the starvation cap forced it.
+    pub(super) fn select(
+        &self,
+        now: Cycle,
+        cap: Cycle,
+        trtr: Cycle,
+        earliest_column: impl FnMut(Location, Cycle) -> Cycle,
+        rank_mode: impl FnMut(usize) -> IoMode,
+    ) -> Option<(usize, bool)> {
+        let pick = self
+            .groups
+            .select(now, cap, trtr, earliest_column, rank_mode)?;
+        let index = self
+            .pending
+            .binary_search_by_key(&pick.seq, |p| p.seq)
+            .expect("selected request is queued");
+        Some((index, pick.starved))
+    }
+
+    fn push(&mut self, p: Pending) {
+        self.groups.insert(p.view(), p.seq);
+        self.pending.push_back(p);
+    }
+
+    /// Removes and returns the request at queue index `index`.
+    pub(super) fn remove(&mut self, index: usize) -> Pending {
+        let p = self.pending.remove(index).expect("index from select");
+        self.groups.remove(p.view(), p.seq);
+        p
+    }
+}
 
 impl Controller {
     /// Current read-queue occupancy.
@@ -27,7 +86,7 @@ impl Controller {
     /// *within* the queue selected by the drain latch, so the combined
     /// bound is a property of the whole scheduler, not of `select()`.
     pub fn oldest_pending_age(&self, now: Cycle) -> Option<Cycle> {
-        let oldest = |q: &VecDeque<Pending>| q.iter().map(|p| p.arrival).min();
+        let oldest = |q: &Queue| q.iter().map(|p| p.arrival).min();
         match (oldest(&self.readq), oldest(&self.writeq)) {
             (None, None) => None,
             (a, b) => {
@@ -59,12 +118,18 @@ impl Controller {
             });
         }
         let loc = self.mapper.decode(req.addr);
-        let pending = Pending { req, loc, arrival };
+        let pending = Pending {
+            req,
+            loc,
+            arrival,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
         if req.is_write {
-            self.writeq.push_back(pending);
+            self.writeq.push(pending);
             obs::WRITEQ_DEPTH.observe(self.writeq.len());
         } else {
-            self.readq.push_back(pending);
+            self.readq.push(pending);
             obs::READQ_DEPTH.observe(self.readq.len());
         }
         obs::CTRL_REQUESTS.add(1);

@@ -10,15 +10,20 @@
 //! therefore cannot depend on which core or lowering path issued a
 //! request, which is what keeps per-core attribution observational.
 //!
-//! The policy has three parts, each a pure function over its arguments:
+//! The policy has three parts:
 //!
-//! - [`select`]: the FR-FCFS winner of one queue — earliest estimated
-//!   column issue first (row hits sort first by construction), arrival
-//!   order breaking ties, with the starvation cap overriding both.
+//! - [`GroupIndex::select`]: the FR-FCFS winner of one queue — earliest
+//!   estimated column issue first (row hits sort first by construction),
+//!   arrival order breaking ties, with the starvation cap overriding both.
+//!   The index is kept up to date as requests enter and leave the queue,
+//!   so a decision visits only the queue's live groups;
+//!   [`select_reference`] is the whole-queue scan it is proven against.
 //! - [`drain_latch`]: the write-drain hysteresis latch over the
 //!   high/low watermarks.
 //! - [`serve_writes`]: which queue the next decision comes from, given
 //!   occupancies and the latch.
+
+use std::collections::VecDeque;
 
 use sam_dram::moderegs::IoMode;
 use sam_dram::Cycle;
@@ -44,7 +49,7 @@ pub struct SchedView {
     pub mode: IoMode,
 }
 
-/// Outcome of one [`select`] call.
+/// Outcome of one [`select_reference`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Index of the winning request within the scanned queue.
@@ -54,65 +59,194 @@ pub struct Decision {
     pub starved: bool,
 }
 
-/// Reusable zero-allocation workspace for [`select`]'s group tournament.
-///
-/// The controller owns one and threads it through every decision; `select`
-/// fully resets it on entry, so sharing one scratch across queues (or
-/// controllers) is safe and the policy stays a pure function of its
-/// per-call inputs.
+/// Outcome of one [`GroupIndex::select`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pick {
+    /// Enqueue sequence number of the winning request.
+    pub seq: u64,
+    /// Whether the starvation cap forced this pick.
+    pub starved: bool,
+}
+
+/// One queued request as the index keeps it. The derived order is
+/// `(arrival, seq)`: the FCFS order, enqueue order breaking ties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Member {
+    arrival: Cycle,
+    seq: u64,
+}
+
+/// Queued requests agreeing on (bank, row, mode). They are
+/// interchangeable to the estimate except through `max(now, arrival)`,
+/// and the estimate is monotone in arrival, so the representative — the
+/// member with the smallest `(arrival, seq)` — dominates every other
+/// member under the `(est, arrival, seq)` order and is the only one a
+/// decision needs to estimate.
 #[derive(Debug, Clone)]
-pub struct SelectScratch {
-    groups: Vec<Group>,
-    /// Open-addressed hash table over `groups`, `SLOT_EMPTY` = free.
-    table: [u8; TABLE_SLOTS],
-}
-
-#[derive(Debug, Clone, Copy)]
 struct Group {
-    view: SchedView,
-    index: usize,
+    /// The group's bank and row (`col` is whichever member formed the
+    /// group; it never enters the estimate).
+    loc: Location,
+    mode: IoMode,
+    /// `members[0]`, copied out so a decision reads only the group.
+    rep: Member,
+    /// Ascending `(arrival, seq)`; empty while the group sits in the
+    /// reuse tail.
+    members: VecDeque<Member>,
 }
 
-const TABLE_SLOTS: usize = 128;
-const SLOT_EMPTY: u8 = u8::MAX;
-/// Beyond this many distinct groups a queue item competes directly (exact
-/// either way — the cap only bounds the workspace).
-const MAX_GROUPS: usize = 48;
-
-impl Default for SelectScratch {
-    fn default() -> Self {
-        Self {
-            groups: Vec::with_capacity(MAX_GROUPS),
-            table: [SLOT_EMPTY; TABLE_SLOTS],
-        }
+impl Group {
+    fn holds(&self, v: &SchedView) -> bool {
+        self.loc.row == v.loc.row
+            && self.loc.bank == v.loc.bank
+            && self.loc.bank_group == v.loc.bank_group
+            && self.loc.rank == v.loc.rank
+            && self.mode == v.mode
     }
 }
 
-/// Whether two views are interchangeable to the estimate: same bank, row,
-/// and required mode (`col` never enters the estimate).
-fn same_group(a: &SchedView, b: &SchedView) -> bool {
-    a.loc.row == b.loc.row
-        && a.loc.rank == b.loc.rank
-        && a.loc.bank_group == b.loc.bank_group
-        && a.loc.bank == b.loc.bank
-        && a.mode == b.mode
+/// The (bank, row, mode) groups of one request queue, updated as requests
+/// are inserted and removed instead of rebuilt on every decision.
+///
+/// The live groups sit first in one flat vector, so a decision reads a
+/// single dense array. Queues hold few live groups at a time (3 to 12
+/// per decision on average on the simbench `ctrl_stream` and fig12
+/// workloads), which a linear key match finds faster than per-bank
+/// buckets would. Emptied
+/// groups move to a reuse tail and keep their member storage, so a
+/// steady-state insert does not allocate.
+#[derive(Debug, Clone, Default)]
+pub struct GroupIndex {
+    /// Live groups in `groups[..live]`, emptied ones after them.
+    groups: Vec<Group>,
+    live: usize,
 }
 
-/// Hash slot for a view's group key (full equality is re-checked via
-/// [`same_group`], so collisions only cost probes, never correctness).
-fn group_slot(v: &SchedView) -> usize {
-    let mode = match v.mode {
-        IoMode::X4 => 0u64,
-        IoMode::X8 => 1,
-        IoMode::X16 => 2,
-        IoMode::Sx4(lane) => 3 + lane as u64,
-    };
-    let key = (v.loc.row << 16)
-        ^ ((v.loc.rank as u64) << 12)
-        ^ ((v.loc.bank_group as u64) << 8)
-        ^ ((v.loc.bank as u64) << 4)
-        ^ mode;
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize
+impl GroupIndex {
+    /// Adds a request. `seq` must exceed every `seq` inserted before it,
+    /// so that seq order is queue order.
+    pub fn insert(&mut self, v: SchedView, seq: u64) {
+        let member = Member {
+            arrival: v.arrival,
+            seq,
+        };
+        if let Some(g) = self.groups[..self.live].iter_mut().find(|g| g.holds(&v)) {
+            // Arrivals mostly come in enqueue order, so the new member
+            // usually sorts last.
+            if g.members.back().is_some_and(|&last| last > member) {
+                let at = g.members.partition_point(|&m| m < member);
+                g.members.insert(at, member);
+                g.rep = g.members[0];
+            } else {
+                g.members.push_back(member);
+            }
+            return;
+        }
+        if self.live == self.groups.len() {
+            self.groups.push(Group {
+                loc: v.loc,
+                mode: v.mode,
+                rep: member,
+                members: VecDeque::new(),
+            });
+        }
+        let g = &mut self.groups[self.live];
+        g.loc = v.loc;
+        g.mode = v.mode;
+        g.rep = member;
+        g.members.push_back(member);
+        self.live += 1;
+    }
+
+    /// Removes the request inserted as (`v`, `seq`).
+    ///
+    /// # Panics
+    ///
+    /// If no such request is indexed.
+    pub fn remove(&mut self, v: SchedView, seq: u64) {
+        let gi = self.groups[..self.live]
+            .iter()
+            .position(|g| g.holds(&v))
+            .expect("removed request has an indexed group");
+        let g = &mut self.groups[gi];
+        let at = g
+            .members
+            .binary_search(&Member {
+                arrival: v.arrival,
+                seq,
+            })
+            .expect("removed request is an indexed member");
+        g.members.remove(at);
+        match g.members.front() {
+            Some(&rep) => g.rep = rep,
+            None => {
+                self.live -= 1;
+                self.groups.swap(gi, self.live);
+            }
+        }
+    }
+
+    /// Picks the FR-FCFS winner among the indexed requests: they are
+    /// ranked by the estimated earliest column-issue cycle (row hits first
+    /// by construction), with arrival order breaking ties. Requests whose
+    /// required mode differs from the rank's current mode are charged
+    /// `trtr` in the estimate, which makes the scheduler batch same-mode
+    /// requests and amortize switches (the controller behaviour Section
+    /// 5.3 assumes).
+    ///
+    /// Starvation guard: if the oldest request has already waited more
+    /// than `cap` cycles at `now`, it is returned directly — first-ready
+    /// preference must not delay any request unboundedly.
+    /// [`Pick::starved`] reports whether the guard fired, so the caller
+    /// can count and trace cap firings.
+    ///
+    /// Device state is reached only through the two closures
+    /// (`earliest_column` estimates the column-issue cycle for a location;
+    /// `rank_mode` reports a rank's current I/O mode), so the policy stays
+    /// a pure function of its visible inputs. `earliest_column` must be
+    /// pure, independent of `col`, and monotone non-decreasing in its
+    /// cycle argument (every device form is `max(ready, base + fixed)`);
+    /// that is what lets one representative stand for its whole group.
+    ///
+    /// Decision-for-decision identical to [`select_reference`] over the
+    /// same requests in seq order: the oldest request is the minimum
+    /// `(arrival, seq)` over the representatives, and the winner is the
+    /// minimum `(est, arrival, seq)` over them, which is the reference
+    /// scan's `(est, arrival, index)` minimum because queue index order
+    /// is seq order.
+    pub fn select(
+        &self,
+        now: Cycle,
+        cap: Cycle,
+        trtr: Cycle,
+        mut earliest_column: impl FnMut(Location, Cycle) -> Cycle,
+        mut rank_mode: impl FnMut(usize) -> IoMode,
+    ) -> Option<Pick> {
+        obs::SCHED_SELECTS.add(1);
+        let live = &self.groups[..self.live];
+        let oldest = live.iter().map(|g| g.rep).min()?;
+        if now.saturating_sub(oldest.arrival) > cap {
+            return Some(Pick {
+                seq: oldest.seq,
+                starved: true,
+            });
+        }
+        live.iter()
+            .map(|g| {
+                let v = SchedView {
+                    arrival: g.rep.arrival,
+                    loc: g.loc,
+                    mode: g.mode,
+                };
+                let est = estimate(&v, now, trtr, &mut earliest_column, &mut rank_mode);
+                (est, g.rep)
+            })
+            .min()
+            .map(|(_, rep)| Pick {
+                seq: rep.seq,
+                starved: false,
+            })
+    }
 }
 
 fn estimate(
@@ -130,117 +264,13 @@ fn estimate(
     est
 }
 
-/// Picks the FR-FCFS winner among `queue`: requests are ranked by the
-/// estimated earliest column-issue cycle (row hits first by construction),
-/// with arrival order breaking ties. Requests whose required mode differs
-/// from the rank's current mode are charged `trtr` in the estimate, which
-/// makes the scheduler batch same-mode requests and amortize switches (the
-/// controller behaviour Section 5.3 assumes).
-///
-/// Starvation guard: if the oldest request has already waited more than
-/// `cap` cycles at `now`, it is returned directly — first-ready preference
-/// must not delay any request unboundedly. [`Decision::starved`] reports
-/// whether the guard fired, so the caller can count and trace cap firings.
-///
-/// Device state is reached only through the two closures (`earliest_column`
-/// estimates the column-issue cycle for a location; `rank_mode` reports a
-/// rank's current I/O mode), so the policy stays a pure function of its
-/// visible inputs. `earliest_column` must be pure and monotone
-/// non-decreasing in its cycle argument (every device form is
-/// `max(ready, base + fixed)`); that monotonicity is what lets the group
-/// tournament below skip dominated candidates.
-///
-/// # Algorithm
-///
-/// Decision-for-decision identical to the reference scan
-/// ([`select_reference`]), but O(groups) estimate calls instead of
-/// O(queue): requests agreeing on (bank, row, mode) are interchangeable to
-/// the estimate except through `max(now, arrival)`, and the estimate is
-/// monotone in arrival — so within such a group the earliest-arrived
-/// member (first queue index on ties) dominates every other under the
-/// `(est, arrival)` order and only that representative needs estimating.
-/// Strided scans put long runs of same-row gathers in the queue, which is
-/// precisely when the estimate scan was the hot loop; pathological queues
-/// (every request a distinct row) fall past [`MAX_GROUPS`] and compete
-/// individually, which is the reference scan again.
-pub fn select(
-    queue: impl Iterator<Item = SchedView>,
-    now: Cycle,
-    cap: Cycle,
-    trtr: Cycle,
-    mut earliest_column: impl FnMut(Location, Cycle) -> Cycle,
-    mut rank_mode: impl FnMut(usize) -> IoMode,
-    scratch: &mut SelectScratch,
-) -> Option<Decision> {
-    obs::SCHED_SELECTS.add(1);
-    scratch.groups.clear();
-    scratch.table.fill(SLOT_EMPTY);
-    let mut oldest: Option<(Cycle, usize)> = None;
-    // (est, arrival, index) of the best item evaluated individually
-    // (group-cap overflow); merged with the group winners below.
-    let mut best: Option<(Cycle, Cycle, usize)> = None;
-    for (i, v) in queue.enumerate() {
-        if oldest.is_none_or(|(a, _)| v.arrival < a) {
-            oldest = Some((v.arrival, i));
-        }
-        let mut slot = group_slot(&v);
-        loop {
-            match scratch.table[slot] {
-                SLOT_EMPTY => {
-                    if scratch.groups.len() < MAX_GROUPS {
-                        scratch.table[slot] = scratch.groups.len() as u8;
-                        scratch.groups.push(Group { view: v, index: i });
-                    } else {
-                        obs::SCHED_GROUP_OVERFLOWS.add(1);
-                        let est = estimate(&v, now, trtr, &mut earliest_column, &mut rank_mode);
-                        if best.is_none_or(|b| (est, v.arrival, i) < b) {
-                            best = Some((est, v.arrival, i));
-                        }
-                    }
-                    break;
-                }
-                g => {
-                    let e = &mut scratch.groups[g as usize];
-                    if same_group(&e.view, &v) {
-                        // First index keeps the representative on arrival
-                        // ties, matching the reference scan's strict `<`.
-                        if v.arrival < e.view.arrival {
-                            e.view.arrival = v.arrival;
-                            e.index = i;
-                        }
-                        break;
-                    }
-                    slot = (slot + 1) % TABLE_SLOTS;
-                }
-            }
-        }
-    }
-    let (oldest_arrival, oldest_idx) = oldest?;
-    if now.saturating_sub(oldest_arrival) > cap {
-        return Some(Decision {
-            index: oldest_idx,
-            starved: true,
-        });
-    }
-    for e in &scratch.groups {
-        let est = estimate(&e.view, now, trtr, &mut earliest_column, &mut rank_mode);
-        if best.is_none_or(|b| (est, e.view.arrival, e.index) < b) {
-            best = Some((est, e.view.arrival, e.index));
-        }
-    }
-    best.map(|(_, _, index)| Decision {
-        index,
-        starved: false,
-    })
-}
-
 /// The reference FR-FCFS scan: estimates every queued request and keeps
 /// the strict `(est, arrival)` minimum, first index winning ties.
 ///
-/// This is the model [`select`] is proven against — the differential
-/// suite replays recorded request streams through both and asserts
-/// identical decisions (see `tests/` and the sam-stress matrix). Keep it
-/// dead simple; it is the spec, not the fast path.
+/// This is the model [`GroupIndex::select`] is proven against — the
+/// differential suite replays recorded request streams through both and
+/// asserts identical decisions (see `tests/` and the sam-stress matrix).
+/// Keep it dead simple; it is the spec, not the fast path.
 pub fn select_reference(
     queue: impl Iterator<Item = SchedView>,
     now: Cycle,
@@ -322,22 +352,25 @@ mod tests {
         base + if loc.row == 7 { 0 } else { 10 }
     }
 
-    /// Runs the tournament select and the reference scan on the same queue
-    /// and asserts they agree before returning the decision.
+    /// Indexes `q` (seq = queue index), runs the index select and the
+    /// reference scan, and asserts they agree before returning the
+    /// decision.
     fn select_checked(q: &[SchedView], now: Cycle, cap: Cycle, trtr: Cycle) -> Option<Decision> {
-        let mut scratch = SelectScratch::default();
-        let fast = select(
-            q.iter().copied(),
-            now,
-            cap,
-            trtr,
-            est,
-            |_| IoMode::X4,
-            &mut scratch,
-        );
+        let mut index = GroupIndex::default();
+        for (seq, v) in q.iter().enumerate() {
+            index.insert(*v, seq as u64);
+        }
+        let fast = index.select(now, cap, trtr, est, |_| IoMode::X4);
         let reference = select_reference(q.iter().copied(), now, cap, trtr, est, |_| IoMode::X4);
-        assert_eq!(fast, reference, "tournament must match the reference scan");
-        fast
+        assert_eq!(
+            fast,
+            reference.map(|d| Pick {
+                seq: d.index as u64,
+                starved: d.starved
+            }),
+            "index must match the reference scan"
+        );
+        reference
     }
 
     #[test]
@@ -391,29 +424,45 @@ mod tests {
     #[test]
     fn equal_arrival_ties_pick_the_first_index() {
         // Three same-group requests with equal arrivals: the reference
-        // strict `<` keeps index 0; the tournament's representative rule
-        // must do the same.
+        // strict `<` keeps index 0; the index's representative rule must
+        // do the same.
         let q = [view(4, 7), view(4, 7), view(4, 7)];
         let d = select_checked(&q, 5, 100, 2).unwrap();
         assert_eq!(d.index, 0);
     }
 
     #[test]
-    fn group_cap_overflow_stays_exact() {
-        // More distinct rows than MAX_GROUPS: overflow items compete
-        // individually. The winner (row 7, the only "open" row) sits past
-        // the cap so it must win from the overflow path.
-        let mut q: Vec<SchedView> = (0..80).map(|i| view(i as Cycle, 100 + i)).collect();
-        q.push(view(90, 7));
-        let d = select_checked(&q, 95, 10_000, 2).unwrap();
-        assert_eq!(d.index, 80);
+    fn emptied_groups_keep_their_storage() {
+        let mut index = GroupIndex::default();
+        for seq in 0..3 {
+            index.insert(view(seq, 7), seq);
+        }
+        for seq in 0..3 {
+            index.remove(view(seq, 7), seq);
+        }
+        assert!(index.select(0, 100, 2, est, |_| IoMode::X4).is_none());
+        // A different group re-forms in the emptied slot.
+        index.insert(view(5, 9), 3);
+        assert_eq!((index.live, index.groups.len()), (1, 1));
+        assert!(index.groups[0].members.capacity() >= 3);
+        assert_eq!(
+            index.select(5, 100, 2, est, |_| IoMode::X4),
+            Some(Pick {
+                seq: 3,
+                starved: false
+            })
+        );
     }
 
-    /// Randomized differential check: tournament == reference on queues
-    /// mixing repeated groups, duplicate arrivals, stride modes, and
-    /// more distinct rows than the group cap.
+    /// Randomized differential check of the incremental index against the
+    /// reference scan. Interleaves enqueues, served winners and arbitrary
+    /// removals, with equal arrivals, arrivals out of enqueue order and
+    /// after `now`, stride modes, more than 48 distinct rows in the queue,
+    /// groups that empty and re-form, and starvation caps 0, 20 and 4096.
+    /// The estimate models per-bank open rows and readiness, updated by
+    /// every served winner, so decisions see evolving device state.
     #[test]
-    fn tournament_matches_reference_on_random_queues() {
+    fn index_matches_reference_under_interleaved_updates() {
         let mut state = 0x5A11_AD5E_1EC7_0000_u64 ^ 0x1234_5678_9abc_def0;
         let mut next = move || {
             state ^= state << 13;
@@ -421,28 +470,96 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for case in 0..500 {
-            let len = (next() % 97) as usize;
-            let q: Vec<SchedView> = (0..len)
-                .map(|_| {
-                    let mut v = view(next() % 64, next() % 60);
+        // (rank, bank group, bank, row, mode) of a view, and its bank's
+        // dense id over 2 ranks x 4 bank groups x 4 banks.
+        let key = |v: &SchedView| {
+            let mode = IoMode::ALL.iter().position(|&m| m == v.mode);
+            (v.loc.rank, v.loc.bank_group, v.loc.bank, v.loc.row, mode)
+        };
+        let bank_of = |l: Location| (l.rank * 4 + l.bank_group) * 4 + l.bank;
+        let banks = 32;
+        let mut starved = [0u64; 3];
+        let (mut max_groups, mut late, mut reformed) = (0, 0, 0);
+        for case in 0..240 {
+            let cap_slot = case % 3;
+            let cap = [0, 20, 4096][cap_slot];
+            // Few rows make groups empty and re-form; many rows, with
+            // enqueues outpacing removals, keep more than 48 groups live.
+            let (rows, enqueue_ops) = if case % 2 == 0 { (3, 2) } else { (90, 3) };
+            let mut index = GroupIndex::default();
+            let mut queue: Vec<(SchedView, u64)> = Vec::new();
+            let mut ever = Vec::new();
+            let mut open = vec![u64::MAX; banks];
+            let mut ready = vec![0; banks];
+            let mut mode = [IoMode::X4; 2];
+            let (mut seq, mut now) = (0u64, 0);
+            for step in 0..300 {
+                let op = next() % (enqueue_ops + 2);
+                if op < enqueue_ops && queue.len() < 96 {
+                    let mut v = view((now + next() % 24).saturating_sub(12), next() % rows);
                     v.loc.bank = (next() % 4) as usize;
                     v.loc.bank_group = (next() % 4) as usize;
                     v.loc.rank = (next() % 2) as usize;
+                    v.loc.col = next() % 128;
                     if next() % 3 == 0 {
                         v.mode = IoMode::Sx4((next() % 4) as u8);
                     }
-                    v
-                })
-                .collect();
-            let now = next() % 80;
-            let cap = if next() % 4 == 0 { 20 } else { 10_000 };
-            let mode = |r: usize| if r == 0 { IoMode::X4 } else { IoMode::Sx4(1) };
-            let mut scratch = SelectScratch::default();
-            let fast = select(q.iter().copied(), now, cap, 2, est, mode, &mut scratch);
-            let reference = select_reference(q.iter().copied(), now, cap, 2, est, mode);
-            assert_eq!(fast, reference, "case {case}: queue {q:?} now {now}");
+                    let k = key(&v);
+                    if ever.contains(&k) && !queue.iter().any(|q| key(&q.0) == k) {
+                        reformed += 1;
+                    }
+                    ever.push(k);
+                    late += u64::from(v.arrival > now);
+                    index.insert(v, seq);
+                    queue.push((v, seq));
+                    seq += 1;
+                } else if op == enqueue_ops && !queue.is_empty() {
+                    let (v, s) = queue.remove((next() % queue.len() as u64) as usize);
+                    index.remove(v, s);
+                }
+                let mut groups: Vec<_> = queue.iter().map(|q| key(&q.0)).collect();
+                groups.sort_unstable();
+                groups.dedup();
+                max_groups = max_groups.max(groups.len());
+                let est = |l: Location, base: Cycle| {
+                    let b = bank_of(l);
+                    ready[b].max(base) + if open[b] == l.row { 0 } else { 14 }
+                };
+                let rank_mode = |r: usize| mode[r];
+                let reference =
+                    select_reference(queue.iter().map(|q| q.0), now, cap, 3, est, rank_mode);
+                let fast = index.select(now, cap, 3, est, rank_mode);
+                assert_eq!(
+                    fast,
+                    reference.map(|d| Pick {
+                        seq: queue[d.index].1,
+                        starved: d.starved
+                    }),
+                    "case {case} step {step}: now {now} cap {cap} queue {queue:?}"
+                );
+                if op == enqueue_ops + 1 {
+                    if let Some(d) = reference {
+                        let (v, s) = queue.remove(d.index);
+                        index.remove(v, s);
+                        starved[cap_slot] += u64::from(d.starved);
+                        let b = bank_of(v.loc);
+                        open[b] = v.loc.row;
+                        ready[b] = now.max(v.arrival) + 4;
+                        mode[v.loc.rank] = v.mode;
+                    }
+                }
+                now += next() % 6;
+            }
         }
+        assert!(max_groups > 48, "distinct groups peaked at {max_groups}");
+        assert!(
+            starved[0] > 0 && starved[1] > 0,
+            "starved picks {starved:?}"
+        );
+        assert!(
+            late > 0 && reformed > 0,
+            "late {late}, re-formed {reformed}"
+        );
     }
 
     #[test]

@@ -193,10 +193,9 @@ impl Default for Heatmap {
     }
 }
 
-/// FR-FCFS tournaments decided (written by `sched.rs`; write-only there).
+/// FR-FCFS scheduling decisions taken (written by `sched.rs`; write-only
+/// there).
 pub static SCHED_SELECTS: Counter = Counter::new("sched.selects");
-/// Tournaments that fell back to the exact scan on group overflow.
-pub static SCHED_GROUP_OVERFLOWS: Counter = Counter::new("sched.group_overflows");
 /// Requests accepted into the controller queues.
 pub static CTRL_REQUESTS: Counter = Counter::new("ctrl.requests_enqueued");
 /// Starvation-cap interventions (aged request forced ahead of row hits).
@@ -235,10 +234,9 @@ pub static BANK_ACTS: Heatmap = Heatmap::new();
 
 /// Every registered counter, in report order.
 #[must_use]
-pub fn counters() -> [&'static Counter; 15] {
+pub fn counters() -> [&'static Counter; 14] {
     [
         &SCHED_SELECTS,
-        &SCHED_GROUP_OVERFLOWS,
         &CTRL_REQUESTS,
         &CTRL_STARVED,
         &CTRL_REFRESHES,

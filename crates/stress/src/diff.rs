@@ -113,11 +113,11 @@ pub fn cross_check(runs: &[DiffRun]) -> Vec<String> {
                     b.outcome.stats_digest()
                 ));
             }
-            // Scheduler-path identity: the group tournament and the naive
-            // reference scan are exact equivalents, so runs that differ
-            // *only* in the scheduler implementation must be
+            // Scheduler-path identity: the incremental group index and
+            // the naive reference scan are exact equivalents, so runs that
+            // differ *only* in the scheduler implementation must be
             // byte-identical in both the stats digest and the per-core
-            // lanes. This is the wheel-vs-reference differential.
+            // lanes. This is the index-vs-reference differential.
             let same_but_sched = ca.device == cb.device
                 && ca.starvation_cap == cb.starvation_cap
                 && ca.drain_hi == cb.drain_hi
@@ -168,6 +168,15 @@ mod tests {
                 label: "default-reference-sched".into(),
                 config: StressConfig::ddr4_default().with_reference_scheduler(),
             },
+            // The default cap rarely fires on these streams; the tight cap
+            // puts starvation-forced picks under the scheduler
+            // differential too.
+            DiffCase {
+                label: "tight-reference-sched".into(),
+                config: StressConfig::new(DeviceKind::Ddr4, 256, 28, 8)
+                    .unwrap()
+                    .with_reference_scheduler(),
+            },
         ]
     }
 
@@ -176,9 +185,12 @@ mod tests {
         let stream = Pattern::RowHitFlood.generate(&PatternParams::small(11));
         let report = run_differential(&stream, &cases());
         assert_eq!(report.total_violations(), 0, "{:?}", report.cross_findings);
-        // The tight cap really does fire more often than the default.
+        // The tight cap really does fire more often than the default, and
+        // the reference scan forces exactly the same picks under it.
         let starved: Vec<u64> = report.runs.iter().map(|r| r.outcome.starved).collect();
         assert!(starved[1] >= starved[2], "{starved:?}");
+        assert!(starved[1] > 0, "{starved:?}");
+        assert_eq!(report.runs[1].outcome, report.runs[5].outcome);
     }
 
     #[test]
@@ -201,44 +213,49 @@ mod tests {
         }
     }
 
-    /// Satellite: recorded streams — rendered to the on-disk trace
-    /// format and parsed back, exactly what `sam-check replay` does —
-    /// replayed through the reference scan and the tournament produce
-    /// identical stats digests, per-core lanes, and completion cycles.
+    /// Recorded streams — rendered to the on-disk trace format and
+    /// parsed back, exactly what `sam-check replay` does — replayed
+    /// through the reference scan and the group index produce identical
+    /// stats digests, per-core lanes, and completion cycles, at the
+    /// default cap and at a tight one that forces starvation picks.
     #[test]
     fn recorded_streams_replay_identically_under_both_schedulers() {
         use crate::stream::{format_stream, parse_stream, StressStream};
-        for pattern in Pattern::ALL {
+        let tight = StressConfig {
+            starvation_cap: 256,
+            ..StressConfig::ddr4_default()
+        };
+        for (pattern, config) in Pattern::ALL
+            .into_iter()
+            .flat_map(|p| [(p, StressConfig::ddr4_default()), (p, tight)])
+        {
             let requests = pattern.generate(&PatternParams::small(7));
-            let recorded = format_stream(&StressStream {
-                config: StressConfig::ddr4_default(),
-                requests,
-            });
+            let recorded = format_stream(&StressStream { config, requests });
             let replayed = parse_stream(&recorded).unwrap();
-            let tournament = run_stream(&replayed.config, &replayed.requests);
+            let indexed = run_stream(&replayed.config, &replayed.requests);
             let reference = run_stream(
                 &replayed.config.with_reference_scheduler(),
                 &replayed.requests,
             );
             assert_eq!(
-                tournament.stats_digest(),
+                indexed.stats_digest(),
                 reference.stats_digest(),
                 "{}: scheduler paths must not diverge",
                 pattern.name()
             );
             assert_eq!(
-                tournament.lanes_digest,
+                indexed.lanes_digest,
                 reference.lanes_digest,
                 "{}",
                 pattern.name()
             );
             assert_eq!(
-                tournament.last_finish,
+                indexed.last_finish,
                 reference.last_finish,
                 "{}",
                 pattern.name()
             );
-            assert_eq!(tournament, reference, "{}", pattern.name());
+            assert_eq!(indexed, reference, "{}", pattern.name());
         }
     }
 
@@ -246,7 +263,7 @@ mod tests {
     fn scheduler_divergence_is_reported() {
         let stream = Pattern::RowHitFlood.generate(&PatternParams::small(9));
         let mut report = run_differential(&stream, &cases());
-        // Forge a desync between the tournament and reference runs.
+        // Forge a desync between the group-index and reference runs.
         let idx = report
             .runs
             .iter()

@@ -86,7 +86,7 @@ pub struct StressConfig {
     /// Write-drain low watermark.
     pub drain_lo: usize,
     /// Replay through the naive reference scheduler instead of the
-    /// group tournament (see
+    /// incremental group index (see
     /// [`ControllerConfig::reference_scheduler`]); the differential
     /// matrix proves the two paths byte-identical on every stream.
     pub reference_scheduler: bool,
@@ -224,7 +224,7 @@ pub fn format_stream(stream: &StressStream) -> String {
         c.drain_hi,
         c.drain_lo,
         // Only serialized when set, so pre-existing recorded traces stay
-        // byte-identical and replay through the default (tournament) path.
+        // byte-identical and replay through the default (group-index) path.
         if c.reference_scheduler {
             " sched=reference"
         } else {
@@ -311,6 +311,8 @@ pub fn parse_stream(text: &str) -> Result<StressStream, String> {
                 if parts.len() == 6 {
                     cfg.reference_scheduler = match parse_kv(parts[5], "sched", line)? {
                         "reference" => true,
+                        // The format's name for the default path, kept
+                        // so recorded traces stay parseable.
                         "tournament" => false,
                         other => {
                             return Err(format!("line {line}: unknown scheduler '{other}'"));
@@ -429,7 +431,7 @@ mod tests {
         assert_eq!(format_stream(&back), text, "rendering is a fixpoint");
         // Bad scheduler tokens are rejected.
         assert!(parse_stream(&text.replace("sched=reference", "sched=magic")).is_err());
-        // The explicit tournament spelling parses back to the default.
+        // The explicit default spelling parses back to the default.
         let explicit = text.replace("sched=reference", "sched=tournament");
         assert!(!parse_stream(&explicit).unwrap().config.reference_scheduler);
     }
